@@ -105,62 +105,27 @@ func (b *laneBits) wordsOf(h graph.Handle) []uint64 {
 	return b.words[s*b.stride : (s+1)*b.stride]
 }
 
-// claim validates h's slot for writing, zeroing stale words and stamping
-// the current epoch and h's generation, and returns the slot's words
-// plus whether the slot held no current bits before the claim (a fresh
-// claim, or a current slot whose words were all zero). That second
-// result is what receiver-list dedup keys on: a slot enters its owner
-// shard's receiver list exactly when it transitions from untracked to
-// tracked.
-func (b *laneBits) claim(h graph.Handle) (w []uint64, slotWasEmpty bool) {
+// set adds lane li to h's slot, first claiming the slot for h when its
+// state is not current: zeroing stale words and stamping the current
+// epoch and h's generation.
+func (b *laneBits) set(h graph.Handle, li int) {
 	b.grow(int(h.Slot) + 1)
 	s := int(h.Slot)
-	w = b.words[s*b.stride : (s+1)*b.stride]
+	w := b.words[s*b.stride : (s+1)*b.stride]
 	if b.epoch[s] != b.cur+1 || b.gen[s] != h.Gen {
 		for i := range w {
 			w[i] = 0
 		}
 		b.epoch[s] = b.cur + 1
 		b.gen[s] = h.Gen
-		return w, true
 	}
-	for _, x := range w {
-		if x != 0 {
-			return w, false
-		}
-	}
-	return w, true
-}
-
-// set adds lane li to h's slot and reports whether the slot held no
-// current bits before (see claim).
-func (b *laneBits) set(h graph.Handle, li int) (slotWasEmpty bool) {
-	w, empty := b.claim(h)
 	w[li>>6] |= 1 << (li & 63)
-	return empty
 }
 
 // has reports whether lane li currently holds h.
 func (b *laneBits) has(h graph.Handle, li int) bool {
 	w := b.wordsOf(h)
 	return w != nil && w[li>>6]&(1<<(li&63)) != 0
-}
-
-// clear removes lane li from h's slot; a no-op when the slot is not
-// current (stale state stays inert, the Unmark contract).
-func (b *laneBits) clear(h graph.Handle, li int) {
-	if w := b.wordsOf(h); w != nil {
-		w[li>>6] &^= 1 << (li & 63)
-	}
-}
-
-// clearSlot invalidates h's slot for every lane at once — the packed
-// analogue of each lane's Marks dropping the node, used on death.
-func (b *laneBits) clearSlot(h graph.Handle) {
-	if s := int(h.Slot); !h.IsNil() && s < len(b.epoch) &&
-		b.epoch[s] == b.cur+1 && b.gen[s] == h.Gen {
-		b.epoch[s] = 0
-	}
 }
 
 // clearLane zeroes lane li's bit column across every slot. The plane

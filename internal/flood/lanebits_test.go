@@ -17,8 +17,8 @@ func h(slot, gen uint32) graph.Handle { return graph.Handle{Slot: slot, Gen: gen
 
 // TestLaneBitsSetHasClear pins the basic membership contract at lane
 // indices on both sides of every word seam the suite cares about:
-// set/has/clear per (slot, lane), independence across lanes sharing a
-// slot, and the slotWasEmpty transition that keys receiver-list dedup.
+// set/has per (slot, lane), independence across lanes sharing a slot,
+// and clearing one lane's column without touching its seam neighbor.
 func TestLaneBitsSetHasClear(t *testing.T) {
 	t.Parallel()
 	b := lb(3) // lanes 0..191
@@ -28,12 +28,8 @@ func TestLaneBitsSetHasClear(t *testing.T) {
 			t.Fatalf("lane %d set before any write", li)
 		}
 	}
-	if empty := b.set(v, 63); !empty {
-		t.Fatal("first set of a slot must report slotWasEmpty")
-	}
-	if empty := b.set(v, 64); empty {
-		t.Fatal("second set of a tracked slot must not report slotWasEmpty")
-	}
+	b.set(v, 63)
+	b.set(v, 64)
 	if !b.has(v, 63) || !b.has(v, 64) {
 		t.Fatal("bits straddling the 64-lane seam not both set")
 	}
@@ -47,22 +43,15 @@ func TestLaneBitsSetHasClear(t *testing.T) {
 	if got := b.onesOf(v, mask); got != 1 {
 		t.Fatalf("masked onesOf = %d, want 1", got)
 	}
-	b.clear(v, 63)
+	b.clearLane(63)
 	if b.has(v, 63) || !b.has(v, 64) {
-		t.Fatal("clear(63) did not confine itself to lane 63")
-	}
-	b.clear(v, 64)
-	// The slot is current but all-zero: the next set is a fresh claim
-	// again, which is exactly when the plane re-enters a receiver list.
-	if empty := b.set(v, 128); !empty {
-		t.Fatal("set on an all-zero current slot must report slotWasEmpty")
+		t.Fatal("clearLane(63) did not confine itself to lane 63")
 	}
 }
 
 // TestLaneBitsGenCurrency pins the shared-generation discipline: a
-// handle from a previous occupant of the slot reads as all-zero, its
-// clear is a no-op on the current occupant's bits, and claiming the slot
-// for a new generation zeroes the stale words.
+// handle from a previous occupant of the slot reads as all-zero, and
+// claiming the slot for a new generation zeroes the stale words.
 func TestLaneBitsGenCurrency(t *testing.T) {
 	t.Parallel()
 	b := lb(2)
@@ -71,18 +60,12 @@ func TestLaneBitsGenCurrency(t *testing.T) {
 	if b.wordsOf(cur) != nil {
 		t.Fatal("new generation read the old occupant's words")
 	}
-	if empty := b.set(cur, 5); !empty {
-		t.Fatal("claim for a new generation must report slotWasEmpty")
-	}
+	b.set(cur, 5)
 	if b.has(cur, 70) {
 		t.Fatal("stale bit survived the generation claim")
 	}
-	if b.wordsOf(old) != nil {
+	if b.wordsOf(old) != nil || b.has(old, 5) {
 		t.Fatal("old generation still reads after the slot moved on")
-	}
-	b.clear(old, 5) // stale handle: must not touch the current bits
-	if !b.has(cur, 5) {
-		t.Fatal("clear through a stale handle mutated current state")
 	}
 }
 
@@ -98,33 +81,9 @@ func TestLaneBitsEpochReset(t *testing.T) {
 	if b.wordsOf(v) != nil || b.has(v, 3) {
 		t.Fatal("bits survived reset")
 	}
-	if empty := b.set(v, 7); !empty {
-		t.Fatal("post-reset claim must be fresh")
-	}
+	b.set(v, 7)
 	if b.has(v, 3) {
 		t.Fatal("pre-reset bit resurrected by the claim")
-	}
-}
-
-// TestLaneBitsClearSlot pins the death path: one call drops the slot for
-// every lane, stale handles are a no-op, and the slot claims fresh
-// afterward.
-func TestLaneBitsClearSlot(t *testing.T) {
-	t.Parallel()
-	b := lb(2)
-	v := h(6, 3)
-	b.set(v, 10)
-	b.set(v, 100)
-	b.clearSlot(h(6, 2)) // stale generation: no-op
-	if !b.has(v, 10) || !b.has(v, 100) {
-		t.Fatal("clearSlot with a stale handle dropped current bits")
-	}
-	b.clearSlot(v)
-	if b.wordsOf(v) != nil {
-		t.Fatal("slot still current after clearSlot")
-	}
-	if empty := b.set(v, 100); !empty || b.has(v, 10) {
-		t.Fatal("slot did not claim fresh after clearSlot")
 	}
 }
 
@@ -161,7 +120,7 @@ func TestLaneBitsReshape(t *testing.T) {
 	b.set(alive, 0)
 	b.set(alive, 63)
 	b.set(stale, 40)
-	b.clearSlot(stale) // an invalidated slot must stay invalid across reshape
+	b.set(h(7, 2), 41) // the slot moves on: stale must stay invalid across reshape
 
 	for _, stride := range []int{2, 3} {
 		b.reshape(stride)
@@ -176,7 +135,7 @@ func TestLaneBitsReshape(t *testing.T) {
 		if !b.has(alive, hi) {
 			t.Fatalf("stride %d: high word not writable after reshape", stride)
 		}
-		b.clear(alive, hi)
+		b.clearLane(hi)
 	}
 	if got := b.onesOf(alive, nil); got != 2 {
 		t.Fatalf("onesOf after reshapes = %d, want 2", got)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/dyngraph/churnnet/internal/core"
 	"github.com/dyngraph/churnnet/internal/dist"
@@ -16,36 +17,39 @@ import (
 // hook chain, instead of M sequential single-message runs each paying its
 // own model and advancement.
 //
-// Every message occupies a *lane* — an index into the plane's packed
-// per-slot state plus a small private record (its slot-indexed sender
-// lists, the O(1) informedAlive completion counter, its Result). Unlike
-// the single engine, the per-slot membership state is not one
-// graph.Marks per lane: the plane owns two packed bitsets (laneBits)
-// holding, per arena slot, one bit per lane — 64 lanes per word — for
-// "lane considers this node informed" and "lane tracks this node as a
-// receiver", under one *shared* per-slot epoch/generation (a slot's
-// generation is a property of the node occupying it, not of any
-// message). That layout costs ⌈M/64⌉ words per slot instead of ~12
-// bytes per slot per lane, and it makes every cross-lane operation
-// word-parallel:
+// Every message occupies a *lane* — a bit column in the plane's packed
+// informed state plus a small private record (the O(1) informedAlive
+// completion counter and its Result). Unlike the single engine, the
+// per-slot membership state is not one graph.Marks per lane: the plane
+// owns one packed bitset (laneBits) holding, per arena slot, one bit per
+// lane — 64 lanes per word — for "lane considers this node informed",
+// under one *shared* per-slot epoch/generation (a slot's generation is a
+// property of the node occupying it, not of any message). That layout
+// costs ⌈M/64⌉ words per slot instead of ~12 bytes per slot per lane,
+// and it makes every cross-lane classification word-parallel:
 //
 //   - noteEdge classifies a churn edge against all M cuts at once: the
 //     XOR of the endpoints' informed words, masked by the in-flight
 //     lanes, is exactly the lanes for which the edge straddles the cut,
 //     and the fan-out iterates only its set bits;
 //   - noteDeath decrements the informed counters of exactly the lanes
-//     whose bit is set on the dead slot, one masked word at a time, and
-//     drops the slot's receiver tracking for all lanes with one epoch
-//     store;
+//     whose bit is set on the dead slot, one masked word at a time;
 //   - the frontier drain dedups scan nodes across lanes at crossing
 //     time (scanLanes is a packed lane bitmask per pending node), scans
 //     each distinct node's neighborhood exactly once, and fans each
-//     discovered cut edge out over set bits only;
-//   - freeze/compaction and admission batch across lanes *inside* each
-//     shard sweep: every shard keeps one receiver list shared by all
-//     lanes (a node tracked by k lanes appears once), so per-receiver
-//     work — the liveness check, the neighborhood bookkeeping — is paid
-//     once, with the per-lane candidate lists visited by bit iteration.
+//     discovered cut edge out over set bits only.
+//
+// The candidate edges themselves live in one flat, append-only cut log
+// per owner shard, shared by every lane: each entry is one (receiver,
+// lane, sender) triple, appended to the receiver's owner shard by the
+// serial hooks or by that shard's drain merge. Nothing is slot-indexed
+// per lane, so the plane's cut state costs O(cut entries) rather than
+// O(lanes · slots), and appending is one amortized slice append. Freeze
+// compacts each log in place in one sweep — dropping entries whose
+// receiver or sender died, whose lane already informs the receiver, or
+// whose lane left flight — and records the frozen length; admission
+// reads only that prefix, so edges appended during the advance wait one
+// round, exactly like the single engine's frozen list lengths.
 //
 // One Step advances the model by one transmission unit and executes one
 // flooding round for every in-flight message; per-round quantities that
@@ -71,12 +75,12 @@ import (
 // word boundary, with a corrupted-engine negative control proving the
 // harness has teeth.
 //
-// Internal orders differ from the single engine's — a lane's receiver
-// insertion order follows the combined scan order, and admissions apply
-// in (shard, receiver, ascending lane) order rather than lane-major —
-// but no Result bit depends on them: admission is an existence test over
-// a receiver's frozen senders and every Result field is a count over
-// admitted sets, the same argument that makes the single engine's
+// Internal orders differ from the single engine's — the log interleaves
+// every lane's entries in append order, and admissions apply in (shard,
+// log) order rather than lane-major — but no Result bit depends on them:
+// admission is an existence test over a (receiver, lane) pair's frozen
+// entries, emitting each admitted pair once, and every Result field is a
+// count over admitted sets, the same argument that makes the single engine's
 // Results invariant across worker counts. The admission order of
 // messages injected in the same Step is likewise unobservable: lanes
 // never read each other's state, so permuting same-round Inject calls
@@ -85,17 +89,21 @@ import (
 // # Admission and retirement
 //
 // Inject admits a message; its lane index claims a bit column in the
-// packed bitsets and the source's one-off neighborhood scan is deferred
+// packed bitset and the source's one-off neighborhood scan is deferred
 // to the next Step's freeze, exactly like the single engine. A message
 // leaves the in-flight set on its own terms — completion (unless
 // RunToMax), die-out, or its MaxRounds cap — after which its lane is
 // dormant (masked out of every event by the in-flight lane mask) but
-// still allocated; Retire releases the lane's sender lists for reuse by
-// later injections, keeping engine memory O(live messages) · O(slots)
-// plus a constant-size record per message ever injected (the Result
-// survives retirement). A reused lane index starts from an all-zero bit
-// column and freshly allocated sender lists, so late injections behave
-// bit-for-bit like a fresh engine (TestTrafficRetireReleasesAndReuses).
+// still allocated. Leaving flight bumps the lane's incarnation (the
+// upper bits of its cut-log tag), which turns every log entry the
+// message left behind stale at once; the next freeze drops them. Retire
+// releases the lane index for reuse by later injections, keeping engine
+// memory O(live messages) plus a constant-size record per message ever
+// injected (the Result survives retirement). A reused lane index starts
+// from an all-zero bit column under a fresh incarnation, so even an
+// Inject that reuses it before the next freeze never inherits the old
+// message's entries, and late injections behave bit-for-bit like a
+// fresh engine (TestTrafficRetireReleasesAndReuses).
 //
 // The plane owns the model between NewTraffic and Close: callers must not
 // advance the model themselves, and observer lifetimes must nest (Close
@@ -124,7 +132,12 @@ type Traffic struct {
 	stride   int
 	liveMask []uint64
 	informed laneBits // lanes that consider the slot's node informed
-	tracked  laneBits // lanes tracking the slot's node as a receiver
+
+	// laneTag[li] is the tag lane li's current message stamps on its
+	// cut-log entries: li in the low laneIdxBits, the lane's incarnation
+	// above. It changes when the message leaves flight, so an entry is
+	// current exactly when its tag equals its lane's laneTag.
+	laneTag []uint32
 
 	// Shared per-round state: functions of the graph and the round alone,
 	// identical for every lane (see engine.preRoundAlive).
@@ -135,9 +148,9 @@ type Traffic struct {
 	// scanNodes holds the distinct nodes to scan at the next freeze,
 	// scanLanes[k*stride:(k+1)*stride] the packed lanes that queued
 	// scanNodes[k], and nodeIdx maps an arena slot to its scanNodes
-	// index (-1 when absent). Every pending handle is alive until the
-	// next freeze (no event intervenes between a crossing and it), so a
-	// slot identifies at most one pending node.
+	// index (-1 when absent). A pending handle stays alive until the
+	// next freeze unless churn between Steps departs it, so scanAdd
+	// trusts a nodeIdx entry only when it names the crossing node itself.
 	scanNodes []graph.Handle
 	scanLanes []uint64
 	nodeIdx   []int32
@@ -152,7 +165,7 @@ type Traffic struct {
 	scratch   []graph.Marks // per-worker neighborhood-dedup scratch
 
 	// onStage, when non-nil, filters every discovered cut edge right
-	// before it is recorded for lane li (false = drop). Test-only: the
+	// before it is logged for lane li (false = drop). Test-only: the
 	// corrupted-engine negative control drops one cross-message frontier
 	// event and asserts the differential oracle catches the divergence.
 	onStage func(li int, recv, sender graph.Handle) bool
@@ -221,47 +234,57 @@ type message struct {
 }
 
 // lane is one message's private flooding state: everything that is not
-// packed into the plane's shared bitsets. The informed/receiver
-// membership itself lives in Traffic.informed/Traffic.tracked under this
-// lane's bit index.
+// packed into the plane's shared bitset or logged in the shards' cut
+// logs. The informed membership itself lives in Traffic.informed under
+// this lane's bit index.
 type lane struct {
 	id  MessageID
 	src graph.Handle
 
 	round int // per-message rounds executed (relative to injection)
 
-	// senders[s] lists the informed senders toward the node in arena
-	// slot s; the list is meaningful only while this lane's bit is set
-	// on s in Traffic.tracked (it is reset when the bit transitions
-	// 0 -> 1). Partitioned by shard ownership exactly like the single
-	// engine's: only s's owner shard touches senders[s] during a
-	// parallel phase.
-	senders [][]graph.Handle
-
 	informedAlive int
 	res           Result
 }
 
-// trafficShard owns one shard's receiver-side bookkeeping, shared by
-// every lane: a node tracked as a receiver by k lanes appears once.
+// trafficShard owns the cut state of the arena slots mapped to it,
+// shared by every lane. Only the owner shard touches it during a
+// parallel phase.
 type trafficShard struct {
-	// receivers lists tracked (possibly stale or duplicate) receiver
-	// handles owned by this shard; compacted at every freeze.
-	receivers []graph.Handle
-	seen      graph.Marks // compact-time duplicate-entry dedup scratch
+	// log holds every candidate edge toward a receiver this shard owns,
+	// in append order, possibly stale until the next freeze compacts it;
+	// log[:frozen] is the running round's frozen cut.
+	log    []cutEntry
+	frozen int
 
-	// The frozen cut of the running round, flat in receiver order:
-	// frozenRecv[i] carries candidates for the lanes set in
-	// frozenWords[i*stride:(i+1)*stride], and frozenLen lists — in
-	// (receiver, ascending lane) order — each frozen sender-list length.
-	frozenRecv  []graph.Handle
-	frozenWords []uint64
-	frozenLen   []int32
+	// adm is the admission sweep's output, applied at the serial merge:
+	// one entry per (receiver, lane) pair admitted this round.
+	adm []laneCrossing
+}
 
-	// Admission-sweep output, applied at the serial merge: admRecv[j]
-	// was admitted by the lanes set in admWords[j*stride:(j+1)*stride].
-	admRecv  []graph.Handle
-	admWords []uint64
+// cutEntry is one cut-log candidate: send was an informed sender toward
+// the uninformed receiver recv in the lane named by tag when the entry
+// was appended. tag is the lane's laneTag at that time; entries of a
+// message that has left flight no longer match and drop at the next
+// freeze.
+type cutEntry struct {
+	recv, send graph.Handle
+	tag        uint32
+}
+
+// laneIdxBits is the width of a cut-log tag's lane-index field; the
+// bits above it count the lane's incarnations. A lane index is re-granted
+// at most once between two freezes (a message must Step to finish before
+// Retire), so an 8-bit incarnation never aliases a stale entry.
+const (
+	laneIdxBits = 24
+	laneIdxMask = 1<<laneIdxBits - 1
+)
+
+// laneCrossing is one admitted (receiver, lane) pair.
+type laneCrossing struct {
+	v  graph.Handle
+	li int32
 }
 
 // laneCutEdge stages one discovered candidate edge for its receiver's
@@ -295,7 +318,6 @@ func NewTraffic(m core.Model, opts TrafficOptions) *Traffic {
 		liveMask:  make([]uint64, 1),
 	}
 	t.informed.init(1)
-	t.tracked.init(1)
 	t.shards = make([]trafficShard, t.par)
 	t.scratch = make([]graph.Marks, t.par)
 	t.prevHooks = m.Hooks()
@@ -304,8 +326,9 @@ func NewTraffic(m core.Model, opts TrafficOptions) *Traffic {
 }
 
 // Close detaches the plane from the model's hook chain, restoring the
-// hooks saved at NewTraffic. In-flight messages stop flooding; every
-// message's Status and Result stay queryable. Closing twice is a no-op.
+// hooks saved at NewTraffic, and releases its cut logs. In-flight
+// messages stop flooding; every message's Status and Result stay
+// queryable. Closing twice is a no-op.
 func (t *Traffic) Close() {
 	if t.closed {
 		return
@@ -313,6 +336,7 @@ func (t *Traffic) Close() {
 	t.closed = true
 	t.m.SetHooks(t.prevHooks)
 	t.inFlight = t.inFlight[:0]
+	t.shards = nil
 }
 
 // Inject admits a new message sourced at src (Nil selects the model's
@@ -341,18 +365,18 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 		// while the lane was free its stale bits were masked out of every
 		// read by liveMask, but re-granting the index makes them live.
 		t.informed.clearLane(li)
-		t.tracked.clearLane(li)
 		t.clearScanLane(li)
 	} else {
 		li = len(t.lanes)
+		if li > laneIdxMask {
+			panic("flood: Traffic plane exceeds 2^24 simultaneous messages")
+		}
 		t.lanes = append(t.lanes, nil)
+		t.laneTag = append(t.laneTag, uint32(li))
 		if need := (len(t.lanes) + 63) / 64; need > t.stride {
 			t.reshape(need)
 		}
 	}
-	// A reused lane slot gets freshly allocated sender lists: retirement
-	// released the old arrays, so late injections are bit-for-bit a
-	// fresh engine.
 	ln := &lane{id: id, src: src}
 	t.lanes[li] = ln
 
@@ -374,7 +398,8 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 	}
 	ln.informedAlive = 1
 	t.setLive(li)
-	t.cross(li, src)
+	t.informed.set(src, li)
+	t.scanAdd(li, src)
 
 	t.inFlight = append(t.inFlight, li)
 	t.msgs = append(t.msgs, message{laneIdx: li, status: MessageInFlight, step: t.steps})
@@ -421,8 +446,8 @@ func (t *Traffic) Result(id MessageID) Result {
 	return msg.res
 }
 
-// Retire releases a done message's lane — its sender lists and its bit
-// column in the packed membership state — for reuse by later injections;
+// Retire releases a done message's lane — its bit column in the packed
+// membership state and its cut-log tag — for reuse by later injections;
 // the Result remains queryable. It panics on a MessageID the plane never
 // issued, on a closed plane, and unless the message is MessageDone:
 // in-flight messages run to their own finish, and retiring twice is a
@@ -460,23 +485,19 @@ func (t *Traffic) Step() {
 	t.m.AdvanceRound()
 
 	// Admission over the frozen candidates; every shard sweeps its own
-	// frozen receivers across all lanes at once, crossings apply at the
-	// serial merge in (shard, receiver, ascending lane) order.
+	// frozen log prefix across all lanes at once, marking each admitted
+	// pair informed, and the remaining crossing work applies at the
+	// serial merge in (shard, log) order. The sweep may claim any slot of
+	// the snapshot, so the bitset spans the arena before the fan-out.
+	t.informed.grow(g.NumSlots())
 	t.forEachShard(func(w int) { t.admitShard(w) })
 	alive := g.NumAlive()
 	for w := range t.shards {
-		sh := &t.shards[w]
-		for j, v := range sh.admRecv {
-			aw := sh.admWords[j*t.stride : (j+1)*t.stride]
-			for i, m := range aw {
-				for ; m != 0; m &= m - 1 {
-					li := i<<6 | bits.TrailingZeros64(m)
-					ln := t.lanes[li]
-					ln.res.EverInformed++
-					ln.informedAlive++
-					t.cross(li, v)
-				}
-			}
+		for _, a := range t.shards[w].adm {
+			ln := t.lanes[a.li]
+			ln.res.EverInformed++
+			ln.informedAlive++
+			t.scanAdd(int(a.li), a.v)
 		}
 	}
 	keep := t.inFlight[:0]
@@ -489,6 +510,7 @@ func (t *Traffic) Step() {
 			msg.status = MessageDone
 			msg.res = ln.res
 			t.clearLive(li)
+			t.laneTag[li] += 1 << laneIdxBits // every entry it logged is stale
 		}
 	}
 	t.inFlight = keep
@@ -556,11 +578,9 @@ func (t *Traffic) clearLive(li int) { t.liveMask[li>>6] &^= 1 << (li & 63) }
 
 // reshape widens the packed state to a new words-per-slot stride when
 // the allocated lane count crosses a 64-lane word boundary. Serial
-// context only (Inject); frozen/admission words are ephemeral within one
-// Step and need no migration, the pending scan masks do.
+// context only (Inject); the pending scan masks migrate with it.
 func (t *Traffic) reshape(stride int) {
 	t.informed.reshape(stride)
-	t.tracked.reshape(stride)
 	lm := make([]uint64, stride)
 	copy(lm, t.liveMask)
 	t.liveMask = lm
@@ -576,45 +596,12 @@ func (t *Traffic) reshape(stride int) {
 	t.stride = stride
 }
 
-func (ln *lane) growTo(n int) {
-	if n <= len(ln.senders) {
-		return
-	}
-	ns := make([][]graph.Handle, n*2)
-	copy(ns, ln.senders)
-	ln.senders = ns
-}
-
-// appendSender records s as an informed sender toward the uninformed
-// receiver x in lane li: it sets the lane's tracking bit on x's slot
-// (resetting the lane's sender list on a 0 -> 1 transition) and enters x
-// into its owner shard's shared receiver list when the slot was tracked
-// by no lane at all. Callable from the serial hook context (it may grow
-// the slot-indexed arrays) and from x's owner shard during a parallel
-// merge (the arrays are pre-grown there, making growth a no-op).
+// appendSender logs s as an informed sender toward the uninformed
+// receiver x in lane li, in x's owner shard's cut log. Callable from the
+// serial hook context and from x's owner shard during a parallel merge.
 func (t *Traffic) appendSender(li int, x, s graph.Handle) {
-	ln := t.lanes[li]
-	ln.growTo(int(x.Slot) + 1)
-	w, slotWasEmpty := t.tracked.claim(x)
-	wi, mask := li>>6, uint64(1)<<(li&63)
-	if w[wi]&mask == 0 {
-		w[wi] |= mask
-		ln.senders[x.Slot] = ln.senders[x.Slot][:0]
-	}
-	if slotWasEmpty {
-		sh := &t.shards[t.owner(x.Slot)]
-		sh.receivers = append(sh.receivers, x)
-	}
-	ln.senders[x.Slot] = append(ln.senders[x.Slot], s)
-}
-
-// cross moves v to lane li's informed side: its receiver tracking for
-// this lane stops and its neighborhood scan is queued for the next
-// freeze (deduplicated across lanes at this call). Serial context only.
-func (t *Traffic) cross(li int, v graph.Handle) {
-	t.informed.set(v, li)
-	t.tracked.clear(v, li)
-	t.scanAdd(li, v)
+	sh := &t.shards[t.owner(x.Slot)]
+	sh.log = append(sh.log, cutEntry{recv: x, send: s, tag: t.laneTag[li]})
 }
 
 // growNodeIdx spans the slot -> scan-index map, keeping new entries at
@@ -634,12 +621,14 @@ func (t *Traffic) growNodeIdx(n int) {
 // scanAdd queues v's neighborhood scan for lane li at the next freeze.
 // Distinct nodes are deduplicated here, at crossing time: a node queued
 // by k lanes holds one scanNodes entry with k bits in its packed lane
-// mask. Pending handles stay alive until the next freeze (no churn event
-// intervenes), so the slot -> entry map cannot go stale.
+// mask. Churn between Steps can depart a queued node and hand its slot
+// to a newborn before the next freeze, so the slot -> entry map is
+// trusted only when the entry names v itself, generation included; the
+// dead node's entry then scans nothing.
 func (t *Traffic) scanAdd(li int, v graph.Handle) {
 	t.growNodeIdx(int(v.Slot) + 1)
 	k := t.nodeIdx[v.Slot]
-	if k < 0 {
+	if k < 0 || t.scanNodes[k] != v {
 		k = int32(len(t.scanNodes))
 		t.nodeIdx[v.Slot] = k
 		t.scanNodes = append(t.scanNodes, v)
@@ -671,10 +660,10 @@ func (t *Traffic) clearScanLane(li int) {
 	}
 }
 
-// noteDeath maintains the shared pre-round counter, decrements the
+// noteDeath maintains the shared pre-round counter and decrements the
 // informed counter of exactly the in-flight lanes whose bit is set on
-// the dead slot, and drops the slot's receiver tracking for all lanes
-// with one epoch store.
+// the dead slot. Log entries naming the dead node drop at the next
+// freeze.
 func (t *Traffic) noteDeath(h graph.Handle) {
 	if t.g.BirthSeq(h) < t.roundStartSeq {
 		t.preRoundAlive--
@@ -690,7 +679,6 @@ func (t *Traffic) noteDeath(h graph.Handle) {
 			}
 		}
 	}
-	t.tracked.clearSlot(h)
 }
 
 // noteEdge classifies a fresh request edge against every in-flight
@@ -734,18 +722,22 @@ func (t *Traffic) noteEdge(u, v graph.Handle) {
 
 // --- the batched freeze ---
 
-// freeze drains the combined pending frontier and compacts the shared
-// receiver lists into the live cut of the current snapshot, one worker
-// sweep across all messages per pass.
+// freeze compacts the shards' cut logs to the live cut of the current
+// snapshot, then drains the combined pending frontier into them — one
+// worker sweep across all messages per pass — and records each log's
+// length as its frozen cut. Compacting first bounds a log's peak by its
+// survivors plus this round's discoveries; the drained entries need no
+// check, since the drain logs only edges from alive crossers toward
+// alive neighbors that their in-flight lanes do not inform. Entries
+// appended after the freeze — churn edges of the upcoming advance — lie
+// beyond the frozen length and wait one round. Freeze runs even with no
+// message in flight, so no pending scan or stale entry outlives it.
 func (t *Traffic) freeze() {
-	if len(t.inFlight) == 0 {
-		// Pending scans of lanes that finished last round must not
-		// survive the upcoming advance (see clearScans).
-		t.clearScans()
-		return
-	}
-	t.drainFrontiers()
 	t.forEachShard(func(w int) { t.compactShard(w) })
+	t.drainFrontiers()
+	for w := range t.shards {
+		t.shards[w].frozen = len(t.shards[w].log)
+	}
 }
 
 // drainFrontiers performs the one-off neighborhood scans of every node
@@ -793,7 +785,7 @@ func (t *Traffic) scanLive(k int) bool {
 	return false
 }
 
-// fanOut records the discovered cut edge (v -> x) for every in-flight
+// fanOut logs the discovered cut edge (v -> x) for every in-flight
 // lane that queued scan entry k and does not already consider x
 // informed — one masked word operation per 64 lanes, iterating set bits
 // only. Owner-shard context: the caller guarantees x's slot belongs to
@@ -816,22 +808,11 @@ func (t *Traffic) fanOut(k int, x, v graph.Handle) {
 	}
 }
 
-// growPlane spans every slot-indexed structure a parallel phase touches:
-// fan-out inside a shard sweep must never reallocate shared arrays.
-func (t *Traffic) growPlane(nSlots int) {
-	t.informed.grow(nSlots)
-	t.tracked.grow(nSlots)
-	for _, li := range t.inFlight {
-		t.lanes[li].growTo(nSlots)
-	}
-}
-
 // drainFrontiersSharded is the parallel drain: chunk-claimed scans over
 // the distinct node list stage each discovered edge for its receiver's
 // owner shard, then every shard drains its buffers in chunk order — the
 // single engine's two-barrier pattern, batched across lanes.
 func (t *Traffic) drainFrontiersSharded() {
-	t.growPlane(t.g.NumSlots())
 	nScan := len(t.scanNodes)
 	nChunks := nScan
 	if max := t.par * scanChunksPerWorker; nChunks > max {
@@ -873,7 +854,8 @@ func (t *Traffic) drainFrontiersSharded() {
 	})
 
 	// Merge: each shard drains the buffers addressed to it in chunk
-	// order, fanning each edge out across its packed lane mask.
+	// order, fanning each edge out across its packed lane mask into its
+	// own cut log.
 	t.forEachShard(func(w int) {
 		for c := 0; c < nChunks; c++ {
 			buf := t.stage[c*t.par+w]
@@ -885,146 +867,70 @@ func (t *Traffic) drainFrontiersSharded() {
 	})
 }
 
-// compactShard is the freeze pass over one shard's shared receivers,
-// batched across every lane: each distinct receiver is visited once —
-// its liveness checked once, duplicate entries dropped via the seen
-// scratch — and its per-lane candidate lists compacted by iterating only
-// the set bits of its masked tracking word. It records the frozen cut
-// flat in (receiver, ascending lane) order for the admission sweep.
+// compactShard is the freeze's compaction of one shard's cut log,
+// batched across every lane: it keeps an entry, in place, only while its
+// lane's message is still in flight under the same incarnation, both
+// endpoints are alive, and the lane does not yet inform the receiver.
 func (t *Traffic) compactShard(w int) {
 	sh := &t.shards[w]
 	g := t.g
-	sh.seen.Reset()
-	sh.frozenRecv = sh.frozenRecv[:0]
-	sh.frozenWords = sh.frozenWords[:0]
-	sh.frozenLen = sh.frozenLen[:0]
 	n := 0
-	for _, v := range sh.receivers {
-		if !sh.seen.Mark(v) {
-			continue // duplicate entry (re-tracked within one window)
+	for _, e := range sh.log {
+		li := int(e.tag & laneIdxMask)
+		if t.laneTag[li] != e.tag || !g.IsAlive(e.send) || !g.IsAlive(e.recv) || t.informed.has(e.recv, li) {
+			continue
 		}
-		tw := t.tracked.wordsOf(v)
-		if tw == nil || !g.IsAlive(v) {
-			continue // tracking invalidated (death, slot reuse) or stale entry
-		}
-		iw := t.informed.wordsOf(v)
-		wordBase := len(sh.frozenWords)
-		any := false
-		for i := 0; i < t.stride; i++ {
-			// Live lanes still tracking v as uninformed; dormant lanes'
-			// and crossed-over lanes' bits drop here.
-			cand := tw[i] & t.liveMask[i]
-			if iw != nil {
-				cand &^= iw[i]
-			}
-			var frozen uint64
-			for m := cand; m != 0; m &= m - 1 {
-				bit := m & -m
-				li := i<<6 | bits.TrailingZeros64(m)
-				ln := t.lanes[li]
-				lst := ln.senders[v.Slot]
-				k := 0
-				for _, s := range lst {
-					if g.IsAlive(s) {
-						lst[k] = s
-						k++
-					}
-				}
-				ln.senders[v.Slot] = lst[:k]
-				if k == 0 {
-					cand &^= bit // every sender died: lane stops tracking v
-					continue
-				}
-				frozen |= bit
-				sh.frozenLen = append(sh.frozenLen, int32(k))
-				any = true
-			}
-			tw[i] = cand
-			sh.frozenWords = append(sh.frozenWords, frozen)
-		}
-		if !any {
-			sh.frozenWords = sh.frozenWords[:wordBase]
-			continue // no lane holds live candidates: entry dropped
-		}
-		sh.frozenRecv = append(sh.frozenRecv, v)
-		sh.receivers[n] = v
+		sh.log[n] = e
 		n++
 	}
-	sh.receivers = sh.receivers[:n]
+	sh.log = sh.log[:n]
 }
 
-// admitShard runs the admission test over one shard's frozen receivers,
-// batched across lanes: per receiver the liveness check is paid once,
-// and each frozen lane's test — some frozen sender qualifies (any under
-// Asynchronous semantics, a still-alive one under Discretized) — reads
-// exactly the freeze-time prefix of the lane's sender list, so edges
-// created during the advance are excluded. Output is staged per shard
-// and applied at the serial merge.
+// admitShard runs the admission test over one shard's frozen log
+// prefix, batched across lanes: a frozen entry admits its receiver into
+// its lane when the receiver survived the advance and the sender
+// qualifies (any frozen sender under Asynchronous semantics, a
+// still-alive one under Discretized). The sweep sets the admitted pair's
+// informed bit itself, which both dedups the pair's further entries —
+// each (receiver, lane) is emitted at most once — and is safe in
+// parallel, since a shard reads and writes the informed words of its own
+// receivers only. The rest of each crossing applies at the serial merge.
 func (t *Traffic) admitShard(w int) {
 	sh := &t.shards[w]
 	g := t.g
 	async := t.opts.Mode == Asynchronous
-	sh.admRecv = sh.admRecv[:0]
-	sh.admWords = sh.admWords[:0]
-	cur := 0
-	for fi, v := range sh.frozenRecv {
-		fw := sh.frozenWords[fi*t.stride : (fi+1)*t.stride]
-		if !g.IsAlive(v) {
-			// Died during the advance: skip, consuming the receiver's
-			// frozen lengths (one per set bit, counted by popcount).
-			for _, x := range fw {
-				cur += bits.OnesCount64(x)
-			}
+	sh.adm = sh.adm[:0]
+	for _, e := range sh.log[:sh.frozen] {
+		li := int(e.tag & laneIdxMask)
+		if !(async || g.IsAlive(e.send)) || !g.IsAlive(e.recv) || t.informed.has(e.recv, li) {
 			continue
 		}
-		iw := t.informed.wordsOf(v)
-		wordBase := len(sh.admWords)
-		any := false
-		for i, m := range fw {
-			var admitted uint64
-			for ; m != 0; m &= m - 1 {
-				bit := m & -m
-				li := i<<6 | bits.TrailingZeros64(m)
-				flen := int(sh.frozenLen[cur])
-				cur++
-				if iw != nil && iw[i]&bit != 0 {
-					continue // already informed (defensive; mirrors the single engine)
-				}
-				for _, s := range t.lanes[li].senders[v.Slot][:flen] {
-					if async || g.IsAlive(s) {
-						admitted |= bit
-						any = true
-						break
-					}
-				}
-			}
-			sh.admWords = append(sh.admWords, admitted)
-		}
-		if !any {
-			sh.admWords = sh.admWords[:wordBase]
-			continue
-		}
-		sh.admRecv = append(sh.admRecv, v)
+		t.informed.set(e.recv, li)
+		sh.adm = append(sh.adm, laneCrossing{v: e.recv, li: int32(li)})
 	}
 }
 
-// laneFootprint reports the allocated lane count and the summed per-slot
-// sender-list headers across allocated lanes — the quantities the
-// retirement property test tracks to pin memory at O(live messages), not
-// O(all ever injected).
-func (t *Traffic) laneFootprint() (lanes, slotState int) {
+// laneFootprint reports the allocated lane count and, per lane index,
+// the cut-log entries naming it (stale incarnations included) — the
+// quantities the retirement property test tracks to pin memory at
+// O(live messages), not O(all ever injected).
+func (t *Traffic) laneFootprint() (lanes int, entries []int) {
+	entries = make([]int, len(t.lanes))
 	for _, ln := range t.lanes {
-		if ln == nil {
-			continue
+		if ln != nil {
+			lanes++
 		}
-		lanes++
-		slotState += len(ln.senders)
 	}
-	return lanes, slotState
+	for w := range t.shards {
+		for _, e := range t.shards[w].log {
+			entries[e.tag&laneIdxMask]++
+		}
+	}
+	return lanes, entries
 }
 
-// TrafficMemStats describes a plane's packed informed-state layout; see
-// MemStats.
+// TrafficMemStats describes a plane's packed informed-state layout and
+// its cut-log footprint; see MemStats.
 type TrafficMemStats struct {
 	// Slots is the arena-slot span of the packed state (grown
 	// amortized-doubling, exactly as graph.Marks grows).
@@ -1039,6 +945,11 @@ type TrafficMemStats struct {
 	// the lane-membership words plus the shared per-slot epoch and
 	// generation, for all lanes together.
 	PackedInformedBytes int
+	// CutLogEntries is the number of (receiver, lane, sender) candidate
+	// entries the shards' cut logs hold, and CutLogBytes the capacity the
+	// logs keep allocated for them.
+	CutLogEntries int
+	CutLogBytes   int
 	// MarksBaselineBytes is what the same membership state costs in the
 	// pre-packing layout of one graph.Marks per lane: 12 bytes (an
 	// 8-byte epoch plus a 4-byte generation) per slot per lane.
@@ -1049,7 +960,8 @@ type TrafficMemStats struct {
 // numbers behind the packed-bitset design: PackedInformedBytes/Lanes
 // versus MarksBaselineBytes/Lanes is the per-lane saving (≈ 96× at
 // M = 1024, since an epoch+gen pair per slot per lane collapses to one
-// bit plus a 1/M share of the shared per-slot epoch/gen).
+// bit plus a 1/M share of the shared per-slot epoch/gen) — and the cut
+// logs' entry count and allocated bytes.
 func (t *Traffic) MemStats() TrafficMemStats {
 	st := TrafficMemStats{
 		Slots:        t.informed.slots(),
@@ -1058,6 +970,11 @@ func (t *Traffic) MemStats() TrafficMemStats {
 	}
 	st.PackedInformedBytes = t.informed.footprintBytes()
 	st.MarksBaselineBytes = st.Slots * 12 * st.Lanes
+	for w := range t.shards {
+		log := t.shards[w].log
+		st.CutLogEntries += len(log)
+		st.CutLogBytes += cap(log) * int(unsafe.Sizeof(cutEntry{}))
+	}
 	return st
 }
 

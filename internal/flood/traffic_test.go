@@ -226,13 +226,18 @@ func TestTrafficNegativeControl(t *testing.T) {
 }
 
 // TestTrafficRetireReleasesAndReuses is the memory property test: retiring
-// done messages mid-run must release their lanes' per-slot state (tracked
-// via the laneFootprint test hook), keeping the plane at O(live messages)
-// rather than O(all ever injected) — and a late injection reusing a retired
-// lane slot must behave bit-for-bit like a fresh engine at that model state.
+// done messages must release their lanes, and one Step later no cut-log
+// entry may name a retired or dormant lane (both tracked via the
+// laneFootprint test hook), keeping the plane at O(live messages) rather
+// than O(all ever injected). It also pins the cut log's lane-reuse hazard:
+// the finished messages' last entries are still logged when Retire frees
+// their lanes, and the late injection reuses one of those indices before the
+// next freeze — it must behave bit-for-bit like a fresh engine at that model
+// state, inheriting none of the old message's entries.
 func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 	t.Parallel()
 	opts := TrafficOptions{MaxRounds: 30, KeepTrajectory: true}
+	hazards := 0
 	for seed := uint64(0); seed < 5; seed++ {
 		build := func() core.Model {
 			m := core.New(core.PDGR, 150, 6, rng.New(seed))
@@ -253,17 +258,10 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 		for i := 0; i < first; i++ {
 			ids = append(ids, tr.Inject(nthAlive(m.Graph(), i)))
 		}
-		lanes0, slot0 := tr.laneFootprint()
-		if lanes0 != first || slot0 == 0 {
-			// Slot state appears at the first freeze at the latest; the
-			// source crossing already tracks the lane arrays via cross.
-			t.Logf("seed %d: pre-step footprint lanes=%d slotState=%d", seed, lanes0, slot0)
-		}
 		for tr.Live() > 0 {
 			tr.Step()
 		}
-		lanesDone, _ := tr.laneFootprint()
-		if lanesDone != first {
+		if lanesDone, _ := tr.laneFootprint(); lanesDone != first {
 			t.Fatalf("seed %d: %d lanes allocated before retirement, want %d", seed, lanesDone, first)
 		}
 		for _, id := range ids {
@@ -275,10 +273,14 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 				t.Fatalf("seed %d: message %d not retired", seed, id)
 			}
 		}
-		lanesRet, slotRet := tr.laneFootprint()
-		if lanesRet != 0 || slotRet != 0 {
-			t.Fatalf("seed %d: retirement did not release lane state: lanes=%d slotState=%d",
-				seed, lanesRet, slotRet)
+		lanesRet, stale := tr.laneFootprint()
+		if lanesRet != 0 {
+			t.Fatalf("seed %d: retirement did not release lanes: %d allocated", seed, lanesRet)
+		}
+		// The free list is LIFO: the late injection reuses the last
+		// retired lane index, whose old entries may still be logged.
+		if stale[first-1] > 0 {
+			hazards++
 		}
 
 		// Late injection into a reused lane slot: bit-for-bit a fresh
@@ -296,13 +298,19 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 			tr.Step()
 		}
 		got := tr.Result(late)
-		tr.Close()
-
 		want := replaySingle(build(), opts, trafficInjection{step: stepsSoFar, src: src})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: late injection in reused lane diverged from fresh engine\n%+v\n%+v",
 				seed, got, want)
 		}
+
+		// The late message is dormant, every other lane retired: one Step
+		// must leave no log entry naming any of them.
+		tr.Step()
+		if _, entries := tr.laneFootprint(); !reflect.DeepEqual(entries, make([]int, len(entries))) {
+			t.Fatalf("seed %d: cut log still names retired or dormant lanes one Step on: %v", seed, entries)
+		}
+		tr.Close()
 
 		// Retired Results stay queryable; retiring twice panics.
 		_ = tr.Result(ids[0])
@@ -314,6 +322,129 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 			}()
 			tr.Retire(ids[0])
 		}()
+	}
+	if hazards == 0 {
+		t.Fatal("no seed reused a lane index with entries still logged: the reuse hazard went unexercised")
+	}
+}
+
+// TestTrafficCutLogMemStats checks that MemStats reports the shards' cut
+// logs exactly: their summed entry count and allocated capacity in bytes.
+func TestTrafficCutLogMemStats(t *testing.T) {
+	t.Parallel()
+	m := core.New(core.SDGR, 400, 6, rng.New(2))
+	core.WarmUp(m)
+	tr := NewTraffic(m, TrafficOptions{Parallelism: 2})
+	defer tr.Close()
+	for i := 0; i < 8; i++ {
+		tr.Inject(nthAlive(m.Graph(), i))
+	}
+	for step := 0; tr.Live() > 0; step++ {
+		tr.Step()
+		var entries, bytes int
+		for w := range tr.shards {
+			entries += len(tr.shards[w].log)
+			bytes += cap(tr.shards[w].log) * 20 // recv and send handles plus the lane tag
+		}
+		st := tr.MemStats()
+		if st.CutLogEntries != entries || st.CutLogBytes != bytes {
+			t.Fatalf("step %d: MemStats cut log = %d entries / %d bytes, shards hold %d / %d",
+				step, st.CutLogEntries, st.CutLogBytes, entries, bytes)
+		}
+		if step == 0 && entries == 0 {
+			t.Fatal("no cut-log entries after the first Step of 8 in-flight messages")
+		}
+	}
+}
+
+// commandedModel is an externally driven model in the shape of a live
+// server's: nodes join and depart only when commanded between Steps, and
+// AdvanceRound advances the clock without churn. Joins make d uniform
+// requests; a departure with regen re-points its orphaned requests (a
+// graceful leave), one without leaves them dangling (a crash).
+type commandedModel struct {
+	g     *graph.Graph
+	r     *rng.RNG
+	n, d  int
+	now   float64
+	hooks core.Hooks
+	buf   []graph.InEdge
+}
+
+func newCommandedModel(n, d int, seed uint64) *commandedModel {
+	s := core.SampleStationary(core.PDGR, n, d, rng.New(seed))
+	return &commandedModel{g: s.Graph(), r: rng.New(seed + 1), n: n, d: d, now: s.Now()}
+}
+
+func (m *commandedModel) Kind() core.Kind        { return core.Live }
+func (m *commandedModel) Graph() *graph.Graph    { return m.g }
+func (m *commandedModel) N() int                 { return m.n }
+func (m *commandedModel) D() int                 { return m.d }
+func (m *commandedModel) AdvanceRound()          { m.now++ }
+func (m *commandedModel) Now() float64           { return m.now }
+func (m *commandedModel) LastBorn() graph.Handle { return m.g.Newest() }
+func (m *commandedModel) SetHooks(h core.Hooks)  { m.hooks = h }
+func (m *commandedModel) Hooks() core.Hooks      { return m.hooks }
+func (m *commandedModel) EmitsEdgeEvents() bool  { return true }
+
+func (m *commandedModel) join() {
+	h := m.g.AddNode(m.now)
+	for i := 0; i < m.d; i++ {
+		tgt := m.g.RandomAliveExcept(m.r, h)
+		m.g.AddOutEdge(h, tgt)
+		m.hooks.OnEdge(h, tgt)
+	}
+}
+
+func (m *commandedModel) depart(h graph.Handle, regen bool) {
+	m.hooks.OnDeath(h)
+	m.buf = m.g.RemoveNode(h, m.buf[:0])
+	for _, e := range m.buf {
+		if regen {
+			tgt := m.g.RandomAliveExcept(m.r, e.Src)
+			m.g.RedirectOutEdge(e.Src, e.Slot, tgt)
+			m.hooks.OnEdge(e.Src, tgt)
+		}
+	}
+}
+
+// TestTrafficSlotReuseBetweenSteps pins the pending-scan map under churn
+// between Steps, the way a live server commands it: a node that crossed in
+// a message's last Step is still queued for a scan when it departs, and a
+// joiner reuses its slot before the next freeze. A message injected from
+// that joiner must still be scanned and spread — every broadcast completes
+// and matches RunReference on an identically commanded twin.
+func TestTrafficSlotReuseBetweenSteps(t *testing.T) {
+	t.Parallel()
+	for seed := uint64(1); seed <= 6; seed++ {
+		m, twin := newCommandedModel(3000, 12, seed), newCommandedModel(3000, 12, seed)
+		m.hooks = core.Hooks{OnDeath: func(graph.Handle) {}, OnEdge: func(u, v graph.Handle) {}}
+		twin.hooks = m.hooks
+		tr := NewTraffic(m, TrafficOptions{})
+		pick := rng.New(seed)
+		for cycle := 0; cycle < 8; cycle++ {
+			for i := 0; i < 25; i++ {
+				m.join()
+				twin.join()
+			}
+			src := m.LastBorn()
+			id := tr.Inject(src)
+			for tr.Status(id) == MessageInFlight {
+				tr.Step()
+			}
+			got, want := tr.Result(id), RunReference(twin, Options{Source: src})
+			if !got.Completed || !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d cycle %d: broadcast from joiner %v diverged from its reference\nplane:     %+v\nreference: %+v",
+					seed, cycle, src, got, want)
+			}
+			tr.Retire(id)
+			for i := 0; i < 25; i++ {
+				v := m.g.RandomAlive(pick)
+				m.depart(v, i%2 == 0)
+				twin.depart(v, i%2 == 0)
+			}
+		}
+		tr.Close()
 	}
 }
 
